@@ -706,10 +706,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     scale = FULL if args.full else QUICK
 
     if args.profile:
-        print(render_profile(profiled_replay(scale)))
+        profiler, header = profiled_replay(scale, backend=args.backend)
+        print(header)
+        print(render_profile(profiler))
         return 0
     if args.hotspots:
-        rows = hotspot_rows(scale, top=args.top)
+        rows, header = hotspot_rows(scale, top=args.top, backend=args.backend)
+        print(header)
         print(render_hotspots(rows))
         return 0
 

@@ -112,7 +112,8 @@ class BlockAllocator(ABC):
         """Drop every free block of a dead plane; returns how many."""
 
     def min_free(self) -> int:
-        return min(self.free_count(lane) for lane in self.lanes)
+        """Free blocks on the emptiest lane (the GC trigger's input)."""
+        return min(map(self.free_count, self.lanes))
 
     # Gathering hooks: only the QSTR-MED allocator cares.
 

@@ -852,15 +852,19 @@ class Ftl:
     def _maybe_collect(self) -> None:
         if self._in_gc:
             return
+        # One free-block read per write: the common case is no GC at all.
+        current = self.allocator.min_free()
+        if current >= self.config.gc_low_watermark:
+            return
         self._in_gc = True
         # Stall guard: on a device provisioned so tightly that the high
         # watermark is unreachable, GC must not spin forever making ~zero
         # net progress — give up after a few non-improving rounds and let
         # the write path proceed (or hit OutOfSpaceError honestly).
         stalled = 0
-        best_free = self.allocator.min_free()
+        best_free = current
         try:
-            while self.allocator.min_free() < self.config.gc_low_watermark:
+            while current < self.config.gc_low_watermark:
                 if not self._collect_once():
                     break
                 current = self.allocator.min_free()

@@ -3,7 +3,8 @@
 A plain page-level map: logical page number -> (superblock id, slot).  The
 slot enumerates a superblock's pages in programming order; the superblock
 table resolves a slot to (lane, LWL, page type).  The mapper also maintains
-the reverse map and per-superblock valid counts the garbage collector needs.
+the reverse map, keyed by superblock, that the garbage collector needs: a
+victim's valid pages and their count come from its own entry alone.
 """
 
 from __future__ import annotations
@@ -27,16 +28,16 @@ class PhysicalSlot:
 
 
 class PageMapper:
-    """L2P map plus reverse lookups and validity accounting."""
+    """L2P map plus a per-superblock reverse map for GC."""
 
     def __init__(self, logical_pages: int) -> None:
         if logical_pages < 1:
             raise ValueError("logical_pages must be >= 1")
         self.logical_pages = logical_pages
         self._l2p: Dict[int, PhysicalSlot] = {}
-        # (sb, slot) -> lpn for every *valid* page
-        self._p2l: Dict[Tuple[int, int], int] = {}
-        self._valid_count: Dict[int, int] = {}
+        # sb -> {slot: lpn} for every *valid* page, so len(inner) is the
+        # superblock's valid count; drop_superblock removes the entry
+        self._p2l: Dict[int, Dict[int, int]] = {}
 
     def check_lpn(self, lpn: int) -> None:
         if not 0 <= lpn < self.logical_pages:
@@ -51,14 +52,14 @@ class PageMapper:
         stale = self._l2p.get(lpn)
         if stale is not None:
             self._invalidate_slot(stale)
-        key = (location.superblock_id, location.slot)
-        if key in self._p2l:
-            raise MappingError(f"slot {key} already holds lpn {self._p2l[key]}")
+        sb_id, slot = location.superblock_id, location.slot
+        slots = self._p2l.get(sb_id)
+        if slots is None:
+            slots = self._p2l[sb_id] = {}
+        elif slot in slots:
+            raise MappingError(f"slot {(sb_id, slot)} already holds lpn {slots[slot]}")
         self._l2p[lpn] = location
-        self._p2l[key] = lpn
-        self._valid_count[location.superblock_id] = (
-            self._valid_count.get(location.superblock_id, 0) + 1
-        )
+        slots[slot] = lpn
         return stale
 
     def unmap_page(self, lpn: int) -> Optional[PhysicalSlot]:
@@ -70,25 +71,20 @@ class PageMapper:
         return location
 
     def _invalidate_slot(self, location: PhysicalSlot) -> None:
-        key = (location.superblock_id, location.slot)
-        if key not in self._p2l:
-            raise MappingError(f"slot {key} is not valid")
-        del self._p2l[key]
-        remaining = self._valid_count.get(location.superblock_id, 0) - 1
-        if remaining < 0:
-            raise MappingError(f"negative valid count for sb {location.superblock_id}")
-        if remaining == 0:
-            self._valid_count.pop(location.superblock_id, None)
-        else:
-            self._valid_count[location.superblock_id] = remaining
+        sb_id, slot = location.superblock_id, location.slot
+        slots = self._p2l.get(sb_id)
+        if slots is None or slot not in slots:
+            raise MappingError(f"slot {(sb_id, slot)} is not valid")
+        del slots[slot]
 
     def drop_superblock(self, superblock_id: int) -> None:
         """Forget accounting for an erased superblock (must hold no valid pages)."""
-        if self._valid_count.get(superblock_id, 0) != 0:
+        slots = self._p2l.get(superblock_id)
+        if slots:
             raise MappingError(
-                f"superblock {superblock_id} still holds "
-                f"{self._valid_count[superblock_id]} valid pages"
+                f"superblock {superblock_id} still holds {len(slots)} valid pages"
             )
+        self._p2l.pop(superblock_id, None)
 
     # -- lookups ---------------------------------------------------------------
 
@@ -98,20 +94,14 @@ class PageMapper:
         return self._l2p.get(lpn)
 
     def lpn_at(self, superblock_id: int, slot: int) -> Optional[int]:
-        return self._p2l.get((superblock_id, slot))
+        return self._p2l.get(superblock_id, {}).get(slot)
 
     def valid_count(self, superblock_id: int) -> int:
-        return self._valid_count.get(superblock_id, 0)
+        return len(self._p2l.get(superblock_id, ()))
 
     def valid_slots(self, superblock_id: int) -> List[Tuple[int, int]]:
         """``(slot, lpn)`` pairs still valid in a superblock, slot order."""
-        pairs = [
-            (slot, lpn)
-            for (sb, slot), lpn in self._p2l.items()
-            if sb == superblock_id
-        ]
-        pairs.sort()
-        return pairs
+        return sorted(self._p2l.get(superblock_id, {}).items())
 
     @property
     def mapped_pages(self) -> int:

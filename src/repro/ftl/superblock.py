@@ -61,36 +61,23 @@ class ManagedSuperblock:
         self.speed_class = speed_class
         self.members = members
         self.parity = parity
-        self._geometry = geometry
         self.state = SbState.OPEN
         self.next_slot = 0
         #: how many members were swapped for spares after a media failure
         self.repairs = 0
+        # The slot layout is fixed at construction: a repair swaps a member
+        # but never changes the lane count, and parity never toggles.
+        self.lane_count = len(members)
+        #: lanes that hold user data (excludes the parity lane)
+        self.data_lane_count = self.lane_count - (1 if parity else 0)
+        #: member index of the parity lane, or None
+        self.parity_lane_index: Optional[int] = self.lane_count - 1 if parity else None
+        #: data pages one super word-line holds: data lanes x pages-per-LWL
+        self.pages_per_superwl = self.data_lane_count * geometry.bits_per_cell
+        self.capacity_pages = geometry.pages_per_block * self.data_lane_count
+        self._page_types = geometry.page_types
 
     # -- geometry -------------------------------------------------------------
-
-    @property
-    def lane_count(self) -> int:
-        return len(self.members)
-
-    @property
-    def data_lane_count(self) -> int:
-        """Lanes that hold user data (excludes the parity lane)."""
-        return self.lane_count - (1 if self.parity else 0)
-
-    @property
-    def parity_lane_index(self) -> Optional[int]:
-        """Member index of the parity lane, or None."""
-        return self.lane_count - 1 if self.parity else None
-
-    @property
-    def pages_per_superwl(self) -> int:
-        """Data pages one super word-line holds: data lanes x pages-per-LWL."""
-        return self.data_lane_count * self._geometry.bits_per_cell
-
-    @property
-    def capacity_pages(self) -> int:
-        return self._geometry.pages_per_block * self.data_lane_count
 
     def slot_location(self, slot: int) -> SlotLocation:
         """Resolve a data slot to (lane, LWL, page type).
@@ -102,13 +89,10 @@ class ManagedSuperblock:
         """
         if not 0 <= slot < self.capacity_pages:
             raise ValueError(f"slot {slot} out of range [0, {self.capacity_pages})")
-        per_swl = self.pages_per_superwl
-        lwl, within = divmod(slot, per_swl)
+        lwl, within = divmod(slot, self.pages_per_superwl)
         page_index, lane_index = divmod(within, self.data_lane_count)
         return SlotLocation(
-            lane_index=lane_index,
-            lwl=lwl,
-            page_type=self._geometry.page_types[page_index],
+            lane_index=lane_index, lwl=lwl, page_type=self._page_types[page_index]
         )
 
     # -- write pointer -----------------------------------------------------------

@@ -40,6 +40,8 @@ class ArrayPageMapper(PageMapper):
         self._l2p_slot = np.full(logical_pages, -1, dtype=np.int64)
         # sb id -> slot-indexed lpn array (-1 = invalid slot)
         self._sb_slots: Dict[int, np.ndarray] = {}
+        # sb id -> valid pages, kept beside the arrays so a count is O(1)
+        self._valid_count: Dict[int, int] = {}
         self._mapped = 0
         # 1 + highest LPN ever mapped: ranges at or above it are fresh, so
         # the contiguous flush path can skip its stale scan (sequential
@@ -257,6 +259,9 @@ class ArrayPageMapper(PageMapper):
         if slots is None or slot < 0 or slot >= len(slots) or slots[slot] < 0:
             return None
         return int(slots[slot])
+
+    def valid_count(self, superblock_id: int) -> int:
+        return self._valid_count.get(superblock_id, 0)
 
     def valid_slots(self, superblock_id: int) -> List[Tuple[int, int]]:
         """``(slot, lpn)`` pairs still valid in a superblock, slot order."""

@@ -34,7 +34,12 @@ class PageType(Enum):
         """The page types present for a given cell technology (1..4 bits)."""
         if not 1 <= bits_per_cell <= 4:
             raise ValueError(f"bits_per_cell must be 1..4, got {bits_per_cell}")
-        return list(cls)[:bits_per_cell]
+        return list(_PAGE_TYPES[:bits_per_cell])
+
+
+#: every page type in significance order, built once: iterating the Enum
+#: class itself is slow enough to show on per-slot paths
+_PAGE_TYPES: Tuple[PageType, ...] = tuple(PageType)
 
 
 @dataclass(frozen=True)

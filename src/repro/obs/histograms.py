@@ -20,8 +20,10 @@ from repro.utils.stats import RunningStats
 #: Default bucket upper bounds in µs: a 1-2-5 ladder from 1 µs to 10 s.
 #: Flash reads sit around 10^2 µs, programs around 10^3, superpage
 #: completions and GC storms reach 10^4-10^6; the ladder covers all of them
-#: with ~10% relative resolution while staying a fixed, seed-independent
-#: shape every run shares.
+#: with a fixed, seed-independent shape every run shares.  Its resolution is
+#: coarse: each bucket's upper edge is 2x (1->2, 5->10) or 2.5x (2->5) its
+#: lower edge, so a quantile interpolated inside a bucket can sit anywhere
+#: in that 2-2.5x span.
 DEFAULT_LATENCY_BUCKETS_US: Tuple[float, ...] = tuple(
     mantissa * 10.0 ** exponent
     for exponent in range(0, 7)

@@ -38,7 +38,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy
 
@@ -47,6 +47,7 @@ from repro.perf.report import layer_shares
 from repro.perf.schema import SCHEMA_VERSION, metric
 
 if TYPE_CHECKING:
+    from repro.exp.build import Stack
     from repro.exp.config import SimConfig
 
 # The stack/sweep machinery is imported inside the bench functions, not
@@ -288,26 +289,44 @@ def _bench_sweep(scale: SuiteScale, repetitions: int) -> Dict[str, Any]:
     }
 
 
-def profiled_replay(scale: SuiteScale = QUICK) -> Profiler:
-    """One profiled testbed replay — the ``repro bench --profile`` tree."""
+def _ran_on(stack: "Stack") -> str:
+    """The header line naming the backend and device class a replay ran on.
+
+    The backend is the resolved one (``$REPRO_BACKEND`` included) and the
+    class is the device actually built, so a stack that falls back to the
+    scalar engine says so.
+    """
+    return (
+        f"testbed replay: backend={stack.resolved_backend()} "
+        f"device={type(stack.ssd).__name__}"
+    )
+
+
+def profiled_replay(
+    scale: SuiteScale = QUICK, backend: str = "scalar"
+) -> Tuple[Profiler, str]:
+    """One profiled testbed replay — the ``repro bench --profile`` tree —
+    plus the :func:`_ran_on` header of the stack it ran."""
     from repro.exp.build import build_stack
     from repro.workloads.replay import Replayer
 
     profiler = Profiler()
-    config = _replay_config(scale, scaled=False)
+    config = _replay_config(scale, scaled=False).with_(backend=backend)
     with activate(profiler):
         stack = build_stack(config)
         requests = stack.requests()
         Replayer(stack.ssd).replay(requests)
-    return profiler
+    return profiler, _ran_on(stack)
 
 
 def hotspot_rows(
     scale: SuiteScale = QUICK,
     top: int = 15,
     worklist_path: Optional[str] = None,
-) -> List[Any]:
-    """cProfile one testbed replay; top-N rows annotated from the worklist."""
+    backend: str = "scalar",
+) -> Tuple[List[Any], str]:
+    """cProfile one testbed replay; top-N rows annotated from the worklist,
+    plus the :func:`_ran_on` header of the stack it ran."""
     from repro.exp.build import build_stack
     from repro.perf.hotspots import (
         DEFAULT_WORKLIST,
@@ -317,21 +336,24 @@ def hotspot_rows(
     )
     from repro.workloads.replay import Replayer
 
-    config = _replay_config(scale, scaled=False)
+    config = _replay_config(scale, scaled=False).with_(backend=backend)
+    stacks: List["Stack"] = []
 
     def one_replay() -> int:
         stack = build_stack(config)
+        stacks.append(stack)
         requests = stack.requests()
         Replayer(stack.ssd).replay(requests)
         return len(requests)
 
     _, rows = profile_callable(one_replay, top=top)
-    return list(
+    annotated = list(
         cross_reference(
             rows,
             load_worklist(DEFAULT_WORKLIST if worklist_path is None else worklist_path),
         )
     )
+    return annotated, _ran_on(stacks[0])
 
 
 # -- document assembly -------------------------------------------------------

@@ -206,11 +206,18 @@ def perf_count(name: str, amount: int = 1) -> None:
 
 
 def profiled(name: str) -> Callable[[F], F]:
-    """Decorator form of :func:`perf_scope` for whole-function phases."""
+    """Decorator form of :func:`perf_scope` for whole-function phases.
+
+    With no profiler active the wrapper calls ``fn`` directly, skipping the
+    no-op scope: decorated methods sit on per-write paths.
+    """
 
     def decorate(fn: F) -> F:
         def wrapper(*args: object, **kwargs: object) -> object:
-            with perf_scope(name):
+            profiler = _ACTIVE
+            if profiler is None:
+                return fn(*args, **kwargs)
+            with profiler.scope(name):
                 return fn(*args, **kwargs)
 
         wrapper.__name__ = getattr(fn, "__name__", name)

@@ -7,10 +7,11 @@ from repro.core.records import BlockRecord
 from repro.ftl.superblock import (
     ManagedSuperblock,
     SbState,
+    SlotLocation,
     SuperblockStateError,
     SuperblockTable,
 )
-from repro.nand import SMALL_GEOMETRY, PageType
+from repro.nand import SMALL_GEOMETRY, NandGeometry, PageType
 from repro.utils.bitvec import BitVector
 
 
@@ -51,6 +52,40 @@ class TestGeometry:
     def test_needs_members(self):
         with pytest.raises(ValueError):
             ManagedSuperblock(0, SpeedClass.FAST, (), SMALL_GEOMETRY)
+
+
+@pytest.mark.parametrize("parity", [False, True])
+@pytest.mark.parametrize("bits", [1, 2, 3, 4])
+def test_slot_layout_matches_programming_order(bits, parity):
+    geometry = NandGeometry(
+        planes_per_chip=1,
+        blocks_per_plane=4,
+        layers_per_block=3,
+        strings_per_layer=2,
+        bits_per_cell=bits,
+    )
+    sb = ManagedSuperblock(0, SpeedClass.FAST, members(3), geometry, parity=parity)
+    data_lanes = 3 - (1 if parity else 0)
+    page_types = list(PageType)[:bits]
+    # lwl major, then page type, then data lane
+    expected = [
+        SlotLocation(lane_index=lane, lwl=lwl, page_type=page_type)
+        for lwl in range(geometry.lwls_per_block)
+        for page_type in page_types
+        for lane in range(data_lanes)
+    ]
+    assert sb.capacity_pages == len(expected)
+    assert sb.pages_per_superwl == data_lanes * bits
+    for slot, want in enumerate(expected):
+        assert sb.slot_location(slot) == want
+        assert want.lwl == slot // (data_lanes * bits)
+    for bad in (-1, sb.capacity_pages, sb.capacity_pages + 7):
+        with pytest.raises(ValueError):
+            sb.slot_location(bad)
+    # a repair swaps a member on the same lane; the layout must not move
+    spare = BlockRecord(0, 0, 99, 1000.0, BitVector([0, 1]))
+    sb.replace_member(0, spare)
+    assert [sb.slot_location(slot) for slot in range(len(expected))] == expected
 
 
 class TestLifecycle:

@@ -330,39 +330,75 @@ def _mirror_ops(seed, logical_pages=64, ops=400):
     slots_used = {}
     tape = []
     for _ in range(ops):
-        kind = rng.choice(["map", "unmap", "lookup"])
+        kind = rng.choice(["map", "unmap", "lookup", "lpn_at", "drop"])
         lpn = int(rng.integers(0, logical_pages))
+        sb = int(rng.integers(0, 6))
         if kind == "map":
-            sb = int(rng.integers(0, 6))
             slot = slots_used.get(sb, 0)
             slots_used[sb] = slot + 1
             tape.append(("map", lpn, sb, slot))
+        elif kind == "lpn_at":
+            # one slot past the last mapped one probes the empty tail
+            tape.append(("lpn_at", sb, int(rng.integers(0, slots_used.get(sb, 0) + 1))))
+        elif kind == "drop":
+            tape.append(("drop", sb))
         else:
             tape.append((kind, lpn))
     return tape
+
+
+def _assert_reverse_maps_agree(scalar, vector, sb):
+    assert scalar.valid_count(sb) == vector.valid_count(sb)
+    pairs = scalar.valid_slots(sb)
+    assert pairs == vector.valid_slots(sb)
+    slots = [slot for slot, _ in pairs]
+    assert slots == sorted(set(slots))  # ascending slot order, no repeats
+    assert len(pairs) == scalar.valid_count(sb)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_array_mapper_mirrors_scalar_mapper(seed):
     scalar = PageMapper(64)
     vector = ArrayPageMapper(64)
+    held = set()  # superblocks mapped into since their last drop
+    emptied = refused = 0
     for op in _mirror_ops(seed):
         if op[0] == "map":
             _, lpn, sb, slot = op
+            held.add(sb)
             a = scalar.map_page(lpn, PhysicalSlot(sb, slot))
             b = vector.map_page(lpn, PhysicalSlot(sb, slot))
         elif op[0] == "unmap":
             a = scalar.unmap_page(op[1])
             b = vector.unmap_page(op[1])
+        elif op[0] == "lpn_at":
+            a = scalar.lpn_at(op[1], op[2])
+            b = vector.lpn_at(op[1], op[2])
+        elif op[0] == "drop":
+            sb = op[1]
+            if scalar.valid_count(sb):
+                # a superblock still holding valid pages must not be dropped
+                for mapper in (scalar, vector):
+                    with pytest.raises(MappingError):
+                        mapper.drop_superblock(sb)
+                refused += 1
+            else:
+                scalar.drop_superblock(sb)
+                vector.drop_superblock(sb)
+                if sb in held:
+                    held.discard(sb)
+                    emptied += 1
+            _assert_reverse_maps_agree(scalar, vector, sb)
+            continue
         else:
             a = scalar.lookup(op[1])
             b = vector.lookup(op[1])
         assert a == b
+    assert emptied and refused  # the tape exercised both drop outcomes
     assert scalar.mapped_pages == vector.mapped_pages
     assert dict(scalar.iter_mapped()) == dict(vector.iter_mapped())
     for sb in range(6):
-        assert scalar.valid_count(sb) == vector.valid_count(sb)
-        assert sorted(scalar.valid_slots(sb)) == sorted(vector.valid_slots(sb))
+        _assert_reverse_maps_agree(scalar, vector, sb)
 
 
 def test_map_batch_equals_per_page_loop():

@@ -21,6 +21,13 @@ class TestPageType:
         assert PageType.for_bits_per_cell(1) == [PageType.LSB]
         assert len(PageType.for_bits_per_cell(4)) == 4
 
+    def test_returns_a_fresh_list(self):
+        first = PageType.for_bits_per_cell(3)
+        first.append(PageType.TSB)
+        first[0] = PageType.MSB
+        assert PageType.for_bits_per_cell(3) == [PageType.LSB, PageType.CSB, PageType.MSB]
+        assert PageType.for_bits_per_cell(3) is not PageType.for_bits_per_cell(3)
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             PageType.for_bits_per_cell(0)

@@ -11,6 +11,8 @@ from repro.perf import (
     SuiteScale,
     env_fingerprint,
     git_sha,
+    hotspot_rows,
+    profiled_replay,
     render_suite,
     run_suite,
     validate_bench_doc,
@@ -80,6 +82,25 @@ class TestSuiteDocument:
     def test_zero_repetitions_rejected(self):
         with pytest.raises(ValueError, match="repetitions"):
             run_suite(QUICK, repetitions=0)
+
+
+class TestProfileBackend:
+    """--profile / --hotspots run, and name, the backend they were asked for."""
+
+    def test_vector_profile_builds_a_vector_ssd(self):
+        profiler, header = profiled_replay(TINY, backend="vector")
+        assert header == "testbed replay: backend=vector device=VectorSsd"
+        assert profiler.total_s > 0
+
+    def test_vector_hotspots_build_a_vector_ssd(self):
+        rows, header = hotspot_rows(TINY, top=5, backend="vector")
+        assert header == "testbed replay: backend=vector device=VectorSsd"
+        assert rows
+
+    def test_cli_profile_header_names_the_backend(self, capsys):
+        assert main(["bench", "--profile", "--backend", "vector"]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == "testbed replay: backend=vector device=VectorSsd"
 
 
 class TestValidator:
