@@ -10,9 +10,8 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.assembly.base import LanePool
-from repro.characterization.prober import Prober
+from repro.characterization.prober import ProbePlan, Prober
 from repro.nand.chip import FlashChip
-from repro.nand.errors import EnduranceExceededError
 
 
 def build_lane_pools(
@@ -24,26 +23,13 @@ def build_lane_pools(
 ) -> List[LanePool]:
     """Probe ``blocks`` on each chip (one lane per chip) and pool the results.
 
-    Bad / worn-out blocks are skipped, so pools may end up slightly uneven;
-    assemblers consume ``min(len(pool))`` superblocks.
+    Blocks :meth:`Prober.probe_blocks` skips (bad, worn out, failed) leave pools
+    slightly uneven; assemblers consume ``min(len(pool))`` superblocks.
     """
     if len(chips) < 2:
         raise ValueError("need at least two chips (lanes)")
-    pools: List[LanePool] = []
-    for lane, chip in enumerate(chips):
-        prober = Prober(chip)
-        pool = LanePool(lane=lane)
-        for plane in planes:
-            for block in blocks:
-                if chip.is_bad(plane, block):
-                    continue
-                try:
-                    if target_pe is not None:
-                        measurement = prober.probe_block_at_pe(plane, block, target_pe)
-                    else:
-                        measurement = prober.probe_block(plane, block)
-                except EnduranceExceededError:
-                    continue
-                pool.blocks.append(measurement)
-        pools.append(pool)
-    return pools
+    plan = ProbePlan(planes=planes, blocks=blocks)
+    return [
+        LanePool(lane=lane, blocks=Prober(chip).probe_blocks(plan, target_pe=target_pe))
+        for lane, chip in enumerate(chips)
+    ]

@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
-import numpy as np
-
 from repro.characterization.datasets import BlockMeasurement, MeasurementSet
 from repro.nand.chip import FlashChip
-from repro.nand.errors import BadBlockError, EnduranceExceededError
+from repro.nand.errors import BadBlockError
 
 
 @dataclass(frozen=True)
@@ -32,20 +30,23 @@ class Prober:
 
     def __init__(self, chip: FlashChip) -> None:
         self._chip = chip
-        self._geometry = chip.geometry
 
     @property
     def chip(self) -> FlashChip:
         return self._chip
 
     def probe_block(self, plane: int, block: int) -> BlockMeasurement:
-        """Erase + fully program one block, recording every latency."""
+        """Erase + fully program one block, recording every latency.
+
+        A block whose erase or program reports ``FAIL`` raises
+        :class:`~repro.nand.errors.BadBlockError`: it yields no measurement.
+        """
         erase = self._chip.erase_block(plane, block)
-        latencies = self._chip.program_block(plane, block)
-        matrix = np.array(latencies, dtype=float).reshape(
-            self._geometry.layers_per_block, self._geometry.strings_per_layer
-        )
-        matrix.setflags(write=False)
+        if not erase.ok:
+            raise BadBlockError(f"erase failed on p{plane}/b{block}")
+        matrix = self._chip.program_block(plane, block)
+        if matrix is None:
+            raise BadBlockError(f"program failed on p{plane}/b{block}")
         return BlockMeasurement(
             chip_id=self._chip.chip_id,
             plane=plane,
@@ -59,19 +60,26 @@ class Prober:
         self,
         plan: ProbePlan,
         *,
+        target_pe: Optional[int] = None,
         skip_bad: bool = True,
     ) -> List[BlockMeasurement]:
-        """Probe a plan's worth of blocks; bad blocks are skipped (or raise)."""
+        """Probe a plan's worth of blocks in order, optionally at a P/E epoch.
+
+        The one skip rule of every probing loop: a block that is bad, wears
+        out or fails an erase or program is skipped (or raises when
+        ``skip_bad`` is off), so pools may end up slightly uneven.
+        """
         results: List[BlockMeasurement] = []
         for plane in plan.planes:
             for block in plan.blocks:
-                if self._chip.is_bad(plane, block):
-                    if skip_bad:
-                        continue
-                    raise BadBlockError(f"bad block p{plane}/b{block}")
                 try:
-                    results.append(self.probe_block(plane, block))
-                except EnduranceExceededError:
+                    if self._chip.is_bad(plane, block):
+                        raise BadBlockError(f"bad block p{plane}/b{block}")
+                    if target_pe is not None:
+                        results.append(self.probe_block_at_pe(plane, block, target_pe))
+                    else:
+                        results.append(self.probe_block(plane, block))
+                except BadBlockError:
                     if not skip_bad:
                         raise
         return results
@@ -105,17 +113,8 @@ def probe_testbed(
     each die of the testbed (Table IV), optionally at a given P/E epoch.
     """
     measurements = MeasurementSet()
+    plan = ProbePlan(planes=planes, blocks=blocks)
     for chip in chips:
-        prober = Prober(chip)
-        for plane in planes:
-            for block in blocks:
-                if chip.is_bad(plane, block):
-                    continue
-                try:
-                    if target_pe is not None:
-                        measurements.add(prober.probe_block_at_pe(plane, block, target_pe))
-                    else:
-                        measurements.add(prober.probe_block(plane, block))
-                except EnduranceExceededError:
-                    continue
+        for measurement in Prober(chip).probe_blocks(plan, target_pe=target_pe):
+            measurements.add(measurement)
     return measurements

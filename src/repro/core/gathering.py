@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.eigen import layer_eigen_bits
+from repro.core.eigen import block_records, layer_eigen_bits
 from repro.core.records import BlockRecord
 from repro.nand.geometry import NandGeometry
 from repro.utils.bitvec import BitVector
@@ -117,12 +117,13 @@ class GatheringUnit:
     def complete_block(self, record: BlockRecord) -> None:
         """Deliver a whole block's finished record in one step.
 
-        The vector backend computes a block's latency sum and eigen bits in
-        bulk at seal time instead of feeding word-lines one by one; this
-        closes the open block with the externally computed record.  Only a
-        *fresh* open block (no word-lines reported) may be completed this
-        way — mixing per-word-line reports with a bulk record would double
-        count.
+        Blocks measured whole (the offline gatherer, the FTL's format-time
+        burn-in, the vector engine's seal) get their latency sum and eigen
+        bits from :func:`~repro.core.eigen.block_records` instead of feeding
+        word-lines one by one; this closes the open block with that record.
+        Only a *fresh* open block (no word-lines reported) may be completed
+        this way — mixing per-word-line reports with a bulk record would
+        double count.
         """
         key = (record.lane, record.plane, record.block)
         state = self._open.get(key)
@@ -140,14 +141,22 @@ class GatheringUnit:
     def gather_measurement(
         self, lane: int, plane: int, block: int, wl_latencies: np.ndarray, pe_cycles: int = 0
     ) -> BlockRecord:
-        """Convenience: run a whole measured block through the unit."""
-        self.open_block(lane, plane, block, pe_cycles)
+        """Run a whole measured ``(layers, strings)`` block through the unit.
+
+        The record equals the one :meth:`report` completes after every
+        word-line of the matrix, built in one batched step.
+        """
+        geometry = self._geometry
         matrix = np.asarray(wl_latencies, dtype=float)
-        record: Optional[BlockRecord] = None
-        for lwl in range(matrix.size):
-            layer, string = divmod(lwl, self._geometry.strings_per_layer)
-            record = self.report(lane, plane, block, lwl, float(matrix[layer, string]))
-        assert record is not None
+        if matrix.shape != (geometry.layers_per_block, geometry.strings_per_layer):
+            raise GatheringError(
+                f"block {(lane, plane, block)}: latency matrix {matrix.shape} does "
+                f"not match the ({geometry.layers_per_block}, "
+                f"{geometry.strings_per_layer}) geometry"
+            )
+        self.open_block(lane, plane, block, pe_cycles)
+        (record,) = block_records([(lane, plane, block, pe_cycles)], [matrix])
+        self.complete_block(record)
         return record
 
     # -- footprint accounting (Section V-D1) ----------------------------------------

@@ -27,6 +27,7 @@ from repro.core.assembler import (
     SuperblockChoice,
 )
 from repro.core.catalog import BlockCatalog
+from repro.core.eigen import block_records
 from repro.core.gathering import GatheringUnit
 from repro.core.placement import DEFAULT_POLICY, PlacementPolicy, WriteIntent
 from repro.core.records import BlockRecord
@@ -230,22 +231,17 @@ class QstrMedAssembler(Assembler):
             raise ValueError(
                 f"demand supplies {len(self._demand)} classes for {count} superblocks"
             )
-        geometry_checked = False
         catalogs: List[BlockCatalog] = []
         by_key: Dict[Tuple[int, int, int], BlockMeasurement] = {}
         for pool in pools:
             catalog = BlockCatalog(pool.lane)
-            for measurement in pool.blocks:
-                if not geometry_checked:
-                    geometry_checked = True
-                unit = GatheringUnit(_measurement_geometry(measurement))
-                record = unit.gather_measurement(
-                    pool.lane,
-                    measurement.plane,
-                    measurement.block,
-                    measurement.wl_latencies_us,
-                    measurement.pe_cycles,
-                )
+            # every block of a pool is measured whole: one batched record
+            # pass per lane, identical to gathering word-line by word-line
+            records = block_records(
+                [(pool.lane, m.plane, m.block, m.pe_cycles) for m in pool.blocks],
+                [m.wl_latencies_us for m in pool.blocks],
+            )
+            for record, measurement in zip(records, pool.blocks):
                 catalog.add(record)
                 by_key[record.key()] = measurement
             catalogs.append(catalog)
@@ -265,13 +261,3 @@ class QstrMedAssembler(Assembler):
         self.pair_checks = assembler.total_pair_checks
         self.combinations_checked = assembler.assembled_count
         return result
-
-
-def _measurement_geometry(measurement: BlockMeasurement) -> NandGeometry:
-    """A geometry stub matching a measurement's word-line matrix shape."""
-    return NandGeometry(
-        planes_per_chip=max(1, measurement.plane + 1),
-        blocks_per_plane=max(1, measurement.block + 1),
-        layers_per_block=measurement.layers,
-        strings_per_layer=measurement.strings,
-    )

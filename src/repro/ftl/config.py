@@ -16,8 +16,11 @@ class FtlConfig:
     ``usable_blocks_per_plane`` bounds the physical region the FTL manages —
     simulations usually run on a slice of the chip to keep bootstrap cheap.
     ``overprovision_ratio`` reserves physical capacity above the logical
-    space, and GC starts when any lane's free-block count drops to
-    ``gc_low_watermark`` (and runs until ``gc_high_watermark``).
+    space.  GC starts when any lane's free-block count drops below
+    ``gc_low_watermark`` and stops once the emptiest lane is back at
+    ``gc_low_watermark``.  ``gc_high_watermark`` only caps a round, and
+    since it is never below the low watermark, the low-watermark stop
+    always ends the round first.
     """
 
     usable_blocks_per_plane: int = 64

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.assembler import SpeedClass
-from repro.core.gathering import GatheringUnit
+from repro.core.eigen import block_records
 from repro.core.placement import DEFAULT_POLICY, PlacementPolicy, WriteIntent, WriteSource
 from repro.core.superpage import SuperpagePredictor
 from repro.core.records import BlockRecord
@@ -192,13 +192,15 @@ class Ftl:
     def format(self) -> None:
         """Burn-in pass: gather every usable block's metadata, list it free.
 
-        Each block is erased, fully programmed once (feeding the gatherer),
-        and erased again so it is ready for allocation — the two-P/E-cycle
-        cost the config's ``bootstrap_pe_budget`` documents.
+        Each block is erased, fully programmed once in one whole-block
+        program (its latency matrix is the measurement), and erased again so
+        it is ready for allocation — the two-P/E-cycle cost the config's
+        ``bootstrap_pe_budget`` documents.  Both engines format this way.
         """
         if self._formatted:
             raise RuntimeError("already formatted")
-        gatherer = GatheringUnit(self.geometry)
+        survivors: List[Tuple[int, int, int, int]] = []
+        matrices: List[np.ndarray] = []
         for lane, chip in self.chips.items():
             for plane in range(self.config.planes_used):
                 for block in range(self.config.usable_blocks_per_plane):
@@ -209,32 +211,20 @@ class Ftl:
                             # injected erase failure: the block is grown-bad
                             # before it ever entered service
                             continue
-                        gatherer.open_block(lane, plane, block, chip.pe_cycles(plane, block))
-                        record: Optional[BlockRecord] = None
-                        latencies: List[float] = []
-                        for lwl in range(self.geometry.lwls_per_block):
-                            result = chip.program_wordline(plane, block, lwl)
-                            if not result.ok:
-                                record = None
-                                break
-                            latencies.append(result.latency_us)
-                            record = gatherer.report(
-                                lane, plane, block, lwl, result.latency_us
-                            )
-                        if record is None or not chip.erase_block(plane, block).ok:
-                            gatherer.abandon_block(lane, plane, block)
+                        pe_cycles = chip.pe_cycles(plane, block)
+                        matrix = chip.program_block(plane, block)
+                        if matrix is None or not chip.erase_block(plane, block).ok:
                             continue
                     except EnduranceExceededError:
-                        gatherer.abandon_block(lane, plane, block)
                         continue
-                    assert record is not None
-                    self.allocator.register_free(record)
-                    if self.predictor is not None:
-                        # warm-start the superpage predictor from the burn-in
-                        for lwl, latency in enumerate(latencies):
-                            self.predictor.observe(
-                                lane, lwl, latency, record.eigen[lwl]
-                            )
+                    survivors.append((lane, plane, block, pe_cycles))
+                    matrices.append(matrix)
+        # one batched record pass, registered in (lane, plane, block) order
+        for record, matrix in zip(block_records(survivors, matrices), matrices):
+            self.allocator.register_free(record)
+            if self.predictor is not None:
+                # warm-start the superpage predictor from the burn-in
+                self.predictor.observe_record(record, matrix)
         self._formatted = True
 
     def _require_format(self) -> None:

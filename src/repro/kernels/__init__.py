@@ -2,7 +2,10 @@
 
 Every kernel here is the struct-of-arrays twin of a scalar reference
 implementation that lives in its home layer (``assembly.signatures``,
-``nand.variation``, ``nand.reliability``, ``ftl.mapping``).  The scalar
+``nand.variation``, ``nand.reliability``, ``ftl.mapping``).  The record
+kernels the scalar stack itself batches with (``batch_str_median``,
+``pack_eigen_bits``, ``eigen_bitvectors``, ``block_program_totals``) are
+defined once in :mod:`repro.core.eigen` and re-exported here.  The scalar
 path stays the reference; the vector path must agree with it *exactly*
 (bit-for-bit on floats, element-for-element on ints) — the equivalence
 contract DESIGN.md §13 spells out and ``tests/test_kernels_differential.py``
@@ -14,24 +17,26 @@ The :mod:`repro.kernels.engine` module composes the kernels into the
 ``SimConfig.backend``.
 """
 
+from repro.core.eigen import (
+    batch_str_median,
+    block_program_totals,
+    eigen_bitvectors,
+    pack_eigen_bits,
+)
 from repro.kernels.engine import VectorFtl, VectorSsd
 from repro.kernels.mapping import ArrayPageMapper
 from repro.kernels.reliability import EccBatchResult, ecc_read_batch, rber_batch
 from repro.kernels.signatures import (
     batch_lwl_rank,
     batch_pwl_rank,
-    batch_str_median,
     batch_str_rank,
-    eigen_bitvectors,
     eigen_distance_matrix,
-    pack_eigen_bits,
     signature_distance_matrix,
 )
 from repro.kernels.variation import (
     SuperwlStats,
     batch_erase_latencies,
     block_latency_stack,
-    block_program_totals,
     superwl_stats,
 )
 from repro.kernels.workload import fill_request_count, sequential_fill_prefix

@@ -1,9 +1,11 @@
 """The vector backend's FTL/SSD: batched hot paths, byte-identical outputs.
 
 :class:`VectorFtl`/:class:`VectorSsd` subclass the scalar reference and
-replace the three dominant costs of a fault-free device run — format-time
-burn-in, the per-page write path, and super-word-line flushing — with
-struct-of-arrays kernels from :mod:`repro.kernels`.  The equivalence
+replace the two dominant costs of a fault-free device run — the per-page
+write path and super-word-line flushing — with struct-of-arrays kernels
+from :mod:`repro.kernels`.  Format is the scalar one, which already
+measures every block with one whole-block program and one batched record
+pass.  The equivalence
 contract (DESIGN.md §13) is *exact*: every mapped page, chip state
 transition, metric sample, RNG draw and trace event matches the scalar
 backend bit for bit, which the differential and end-to-end identity tests
@@ -16,11 +18,11 @@ How the fast write path stays identical:
   indexes, stacked once per superblock; completion/extra/argmax rows are
   precomputed with :func:`~repro.kernels.variation.superwl_stats` semantics.
 * Gathering is *deferred*: instead of feeding every word-line's latency to
-  the QSTR-MED gatherer, the block totals (a strict-left-fold ``cumsum``)
-  and eigen bits (:func:`~repro.kernels.signatures.pack_eigen_bits`) are
-  bulk-ingested at seal time via
+  the QSTR-MED gatherer, the records of a sealed superblock's members come
+  from :func:`~repro.core.eigen.block_records` (a strict-left-fold
+  ``cumsum`` total and packed eigen bits) and are bulk-ingested via
   :meth:`~repro.core.scheme.QstrMedScheme.ingest_block_record` — cumulative
-  counters and the resulting :class:`BlockRecord` are identical.
+  counters and the resulting records are identical.
 * GC, wear rotation, repair, reads, parity — everything stateful beyond
   the fault-free fast write path — run the inherited scalar code on the
   same underlying state, so they behave identically by construction.
@@ -40,18 +42,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.assembler import SpeedClass
+from repro.core.eigen import block_records
 from repro.core.placement import DEFAULT_POLICY, PlacementPolicy, WriteIntent, WriteSource
-from repro.core.records import BlockRecord
 from repro.ftl.allocator import QstrAllocator
 from repro.ftl.config import FtlConfig
 from repro.ftl.ftl import FlushReport, Ftl, ReadResult
 from repro.ftl.superblock import ManagedSuperblock
 from repro.ftl.writebuffer import BufferedPage, WriteStream
 from repro.kernels.mapping import ArrayPageMapper
-from repro.kernels.signatures import eigen_bitvectors, pack_eigen_bits
-from repro.kernels.variation import block_program_totals
 from repro.nand.chip import FlashChip
-from repro.nand.errors import EnduranceExceededError
 from repro.nand.geometry import PageType
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, NullTracer
@@ -119,7 +118,7 @@ class _FastSuperblock:
 
 
 class VectorFtl(Ftl):
-    """The scalar FTL with numpy-batched format and host-write hot paths."""
+    """The scalar FTL with numpy-batched host-write hot paths."""
 
     def __init__(
         self,
@@ -187,7 +186,6 @@ class VectorFtl(Ftl):
         injectors_off = all(
             not chip.injector.enabled for chip in self.chips.values()
         )
-        self._fast_format_ok = injectors_off and self.predictor is None
         #: the construction-time gate: every feature the fast write path
         #: cannot reproduce exactly reverts this FTL to scalar behavior
         self._fast_enabled = (
@@ -200,62 +198,6 @@ class VectorFtl(Ftl):
             and type(self.policies.allocation) is StaticAllocationPolicy
             and type(self.policies.assembly) is QstrAssemblyPolicy
         )
-
-    # -- format ----------------------------------------------------------------
-
-    def format(self) -> None:
-        """Burn-in without per-word-line programming.
-
-        The scalar format programs every word-line once purely to *measure*
-        it; the latencies are deterministic functions of the variation
-        profile, so the fast path reads the cached latency matrix directly,
-        reduces it with the batch kernels, and performs only the two real
-        erases (P/E accounting, endurance, state machine are the chip's
-        own).
-        """
-        if not self._fast_format_ok:
-            super().format()
-            return
-        if self._formatted:
-            raise RuntimeError("already formatted")
-        lwls = self._lwls_per_block
-        survivors: List[Tuple[int, int, int, int]] = []
-        matrices: List[np.ndarray] = []
-        for lane, chip in self.chips.items():
-            profile = chip.profile
-            for plane in range(self.config.planes_used):
-                for block in range(self.config.usable_blocks_per_plane):
-                    if chip.is_bad(plane, block):
-                        continue
-                    try:
-                        if not chip.erase_block(plane, block).ok:
-                            continue
-                        pe = chip.pe_cycles(plane, block)
-                        matrix = profile.block_program_latencies(plane, block, pe)
-                        if not chip.erase_block(plane, block).ok:
-                            continue
-                    except EnduranceExceededError:
-                        continue
-                    survivors.append((lane, plane, block, pe))
-                    matrices.append(matrix)
-        # one batched reduction over every surviving block, registered in
-        # the same (lane, plane, block) order scalar format visits them
-        if survivors:
-            stack = np.stack(matrices)
-            totals = block_program_totals(stack.reshape(len(survivors), -1))
-            eigens = eigen_bitvectors(pack_eigen_bits(stack), lwls)
-            for i, (lane, plane, block, pe) in enumerate(survivors):
-                self.allocator.register_free(
-                    BlockRecord(
-                        lane=lane,
-                        plane=plane,
-                        block=block,
-                        pgm_total_us=float(totals[i]),
-                        eigen=eigens[i],
-                        pe_cycles=pe,
-                    )
-                )
-        self._formatted = True
 
     # -- fast write path ----------------------------------------------------------
 
@@ -387,22 +329,13 @@ class VectorFtl(Ftl):
         """Bulk-deliver the deferred gathering metadata of a sealed superblock."""
         if not self._fast_gathering:
             return
-        totals = block_program_totals(st.lat)
-        lwls = self._lwls_per_block
-        eigens = eigen_bitvectors(pack_eigen_bits(st.stack), lwls)
+        keys = [
+            (record.lane, record.plane, record.block, pe)
+            for record, pe in zip(st.members, st.pe)
+        ]
         scheme = self.allocator.scheme  # type: ignore[attr-defined]
-        for i, record in enumerate(st.members):
-            scheme.ingest_block_record(
-                BlockRecord(
-                    lane=record.lane,
-                    plane=record.plane,
-                    block=record.block,
-                    pgm_total_us=float(totals[i]),
-                    eigen=eigens[i],
-                    pe_cycles=st.pe[i],
-                ),
-                lwls,
-            )
+        for record in block_records(keys, st.stack):
+            scheme.ingest_block_record(record, self._lwls_per_block)
 
     def _trace_fast_flush(
         self,

@@ -11,29 +11,21 @@ derived from ``np.argsort(kind="stable")`` — the identical primitive the
 scalar kernels use — so batch row ``i`` equals the scalar signature of block
 ``i`` exactly, including tie-breaks (first-come, lower index wins).
 
-The eigen path packs the STR-median bits with
-``np.packbits(bitorder="little")`` so bit ``j`` of the packed bytes is LWL
-``j``, matching :class:`~repro.utils.bitvec.BitVector` indexing; pairwise
-similarity (Equation 1's XOR-popcount) then reduces to
-``np.bitwise_count`` over an XOR of the packed matrices.
+The STR-median kernels (``batch_str_median``, ``pack_eigen_bits``,
+``eigen_bitvectors``) live in :mod:`repro.core.eigen`, next to the scalar
+eigen sequence they batch, because the gatherer and the FTL's format build
+records with them; :mod:`repro.kernels` re-exports them.  Packed eigen
+rows keep bit ``j`` at LWL ``j``, matching
+:class:`~repro.utils.bitvec.BitVector` indexing, so pairwise similarity
+(Equation 1's XOR-popcount) reduces to ``np.bitwise_count`` over an XOR
+of the packed matrices.
 """
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from repro.utils.bitvec import BitVector
-
-
-def _as_stack(stacks: np.ndarray) -> np.ndarray:
-    arr = np.asarray(stacks, dtype=float)
-    if arr.ndim != 3:
-        raise ValueError(
-            f"expected a (k, layers, strings) stack, got shape {arr.shape}"
-        )
-    return arr
+from repro.core.eigen import _as_stack
 
 
 def batch_lwl_rank(stacks: np.ndarray) -> np.ndarray:
@@ -73,40 +65,6 @@ def batch_str_rank(stacks: np.ndarray) -> np.ndarray:
     return ranks.reshape(k, layers * strings)
 
 
-def batch_str_median(stacks: np.ndarray) -> np.ndarray:
-    """Per-layer speed bits per block (direction 8), shape ``(k, L)``.
-
-    The fastest ``strings // 2`` strings of each layer get bit 0, the rest
-    bit 1; ties resolve first-come exactly as the scalar kernel and
-    :func:`repro.core.eigen.layer_eigen_bits` do.
-    """
-    arr = _as_stack(stacks)
-    k, layers, strings = arr.shape
-    fast_slots = strings // 2
-    order = np.argsort(arr, axis=2, kind="stable")
-    bits = np.ones((k, layers, strings), dtype=np.uint16)
-    np.put_along_axis(bits, order[:, :, :fast_slots], np.uint16(0), axis=2)
-    return bits.reshape(k, layers * strings)
-
-
-def pack_eigen_bits(stacks: np.ndarray) -> np.ndarray:
-    """STR-median eigen bits of every block, packed little-bit-first.
-
-    Returns ``(k, ceil(L / 8))`` ``uint8``; bit ``j`` (LSB-first within each
-    byte) is the eigen bit of LWL ``j``, i.e. ``BitVector`` bit ``j``.
-    """
-    bits = batch_str_median(stacks).astype(np.uint8)
-    return np.packbits(bits, axis=1, bitorder="little")
-
-
-def eigen_bitvectors(packed: np.ndarray, length: int) -> List[BitVector]:
-    """Unpack rows of :func:`pack_eigen_bits` into :class:`BitVector` values."""
-    return [
-        BitVector(length=length, value=int.from_bytes(row.tobytes(), "little"))
-        for row in np.asarray(packed, dtype=np.uint8)
-    ]
-
-
 def signature_distance_matrix(signatures: np.ndarray) -> np.ndarray:
     """Pairwise Equation-1 distances of ``(k, L)`` stacked signatures.
 
@@ -124,8 +82,9 @@ def eigen_distance_matrix(packed: np.ndarray) -> np.ndarray:
     """Pairwise XOR-popcount distances of packed eigen matrices.
 
     ``out[i, j]`` equals ``BitVector.hamming_distance`` of blocks ``i`` and
-    ``j`` when both rows came from :func:`pack_eigen_bits` (padding bits are
-    zero in every row, so they never contribute to the XOR).
+    ``j`` when both rows came from :func:`~repro.core.eigen.pack_eigen_bits`
+    (padding bits are zero in every row, so they never contribute to the
+    XOR).
     """
     arr = np.asarray(packed, dtype=np.uint8)
     if arr.ndim != 2:

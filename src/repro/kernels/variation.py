@@ -10,7 +10,8 @@ matrices and reduce them the way the FTL's MP-program hot path does:
 * slowest/fastest member = first argmax/argmin (Python ``max(range, key)``
   tie-break),
 * block program total = the *sequential* left-to-right sum the gathering
-  unit accumulates (``np.cumsum`` pairs operands in exactly that order,
+  unit accumulates (:func:`repro.core.eigen.block_program_totals`;
+  ``np.cumsum`` pairs operands in exactly that order,
   unlike ``np.sum``'s pairwise reduction — see DESIGN.md §13).
 
 Erase latencies batch the scalar chain with the identical binary-operation
@@ -87,21 +88,6 @@ def superwl_stats(member_latencies: np.ndarray) -> SuperwlStats:
         slowest=table.argmax(axis=0),
         fastest=table.argmin(axis=0),
     )
-
-
-def block_program_totals(member_latencies: np.ndarray) -> np.ndarray:
-    """Sequential per-member latency sums of a ``(members, lwls)`` table.
-
-    Matches the gathering unit's running ``latency_sum += latency_us`` in
-    LWL order bit-for-bit: ``np.cumsum`` is a strict left fold, whereas
-    ``np.sum`` would pair operands differently and drift in the last ulp.
-    """
-    table = np.asarray(member_latencies, dtype=float)
-    if table.ndim != 2:
-        raise ValueError(f"expected a (members, lwls) table, got {table.shape}")
-    if table.shape[1] == 0:
-        return np.zeros(table.shape[0])
-    return np.cumsum(table, axis=1)[:, -1]
 
 
 def batch_erase_latencies(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -261,17 +261,39 @@ class FlashChip:
         state.next_lwl = lwl + 1
         return OperationResult(latency_us=latency)
 
-    def program_block(self, plane: int, block: int) -> List[float]:
-        """Program every word-line of a block; returns the 384 tPROG values.
+    @profiled("nand.program")
+    def program_block(self, plane: int, block: int) -> Optional[np.ndarray]:
+        """Program every word-line of an erased block in one step.
 
-        Convenience for the characterization prober, which measures whole
-        blocks (Figure 9's latency table).
+        Returns the read-only ``(layers, strings)`` tPROG matrix (Figure 9's
+        latency table): entry ``[layer, string]`` is what
+        :meth:`program_wordline` reports for that LWL.  The prober and the
+        FTL's format-time burn-in measure whole blocks through this call.
+
+        With a fault injector enabled the block still programs one
+        word-line at a time, so every injector draw happens as in a
+        :meth:`program_wordline` loop; the first ``FAIL`` stops the loop
+        and returns ``None``.
         """
         state = self._state(plane, block)
-        latencies: List[float] = []
-        for lwl in range(state.next_lwl, self._geometry.lwls_per_block):
-            latencies.append(self.program_wordline(plane, block, lwl).latency_us)
-        return latencies
+        if self.is_bad(plane, block):
+            raise errors.BadBlockError(f"bad block p{plane}/b{block}")
+        if not state.erased:
+            raise errors.ProgramStateError(
+                f"block p{plane}/b{block} must be erased before programming"
+            )
+        if state.next_lwl != 0:
+            raise errors.ProgramOrderError(
+                f"block p{plane}/b{block}: expected LWL {state.next_lwl}, got 0"
+            )
+        if self._injector.enabled:
+            for lwl in range(self._geometry.lwls_per_block):
+                if not self.program_wordline(plane, block, lwl).ok:
+                    return None
+        else:
+            state.programmed_at_hours = self._clock_hours
+            state.next_lwl = self._geometry.lwls_per_block
+        return self._profile.block_program_latencies(plane, block, state.pe_cycles)
 
     def stress_block(self, plane: int, block: int, cycles: int) -> None:
         """Apply ``cycles`` erase/program stress cycles without timing them.

@@ -15,6 +15,7 @@ are compared too.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -23,7 +24,8 @@ import pytest
 
 from repro.exp import SimConfig, Sweep, build_stack
 from repro.exp import run as run_sweep
-from repro.ftl import FtlConfig
+from repro.faults import FaultPlan
+from repro.ftl import Ftl, FtlConfig
 from repro.kernels import VectorFtl, VectorSsd
 from repro.obs import Tracer
 from repro.obs.export import write_jsonl
@@ -153,3 +155,62 @@ def test_six_cell_sweep_identical_across_backends():
         # same cache key (backend is compare=False) and same bytes out
         assert scalar_hash == vector_hash
         assert scalar_doc == vector_doc
+
+
+_FORMAT_FTL = FtlConfig(
+    usable_blocks_per_plane=16,
+    overprovision_ratio=0.40,
+    gc_low_watermark=2,
+    gc_high_watermark=4,
+)
+
+
+def _registered_records(ftl_cls, config: SimConfig, ftl_config: FtlConfig):
+    """Format fresh chips; every record registered free, in order."""
+    ftl = ftl_cls(build_stack(config).chips, ftl_config, seed=config.seed)
+    registered = []
+    register = ftl.allocator.register_free
+
+    def spy(record):
+        registered.append(record)
+        register(record)
+
+    ftl.allocator.register_free = spy
+    ftl.format()
+    predictor = ftl.predictor
+    warm = None
+    if predictor is not None:
+        warm = [predictor.observations] + [
+            predictor.predict_member(record, lwl)
+            for record in registered
+            for lwl in (0, 5)
+        ]
+    return registered, warm
+
+
+@pytest.mark.parametrize(
+    "config,ftl_config",
+    [
+        (SimConfig.device(seed=11, chips=3, blocks=24), _FORMAT_FTL),
+        (
+            SimConfig.device(seed=11, chips=3, blocks=24).with_(
+                faults=FaultPlan(program_fail_prob=0.002, erase_fail_prob=0.03)
+            ),
+            _FORMAT_FTL,
+        ),
+        (
+            SimConfig.device(seed=11, chips=3, blocks=24),
+            dataclasses.replace(_FORMAT_FTL, superpage_steering=True),
+        ),
+    ],
+    ids=["fault_free", "faulted", "steering_predictor"],
+)
+def test_format_registers_identical_records_on_both_engines(config, ftl_config):
+    scalar, scalar_warm = _registered_records(Ftl, config, ftl_config)
+    vector, vector_warm = _registered_records(VectorFtl, config, ftl_config)
+    assert scalar and scalar == vector
+    # exact floats and eigen bits, not just dataclass equality
+    assert [repr(r.pgm_total_us) for r in scalar] == [repr(r.pgm_total_us) for r in vector]
+    assert [r.eigen.value for r in scalar] == [r.eigen.value for r in vector]
+    assert scalar_warm == vector_warm
+    assert (scalar_warm is not None) == ftl_config.superpage_steering

@@ -15,9 +15,14 @@ from repro.characterization import (
     variability_report,
     wordline_trend_correlation,
 )
+from repro.exp import SimConfig, build_stack
+from repro.faults import FaultPlan, make_injector
 from repro.nand import SMALL_GEOMETRY, FlashChip, VariationModel, VariationParams
+from repro.nand.errors import BadBlockError
 
 from tests.conftest import make_chips
+
+FAULTY = FaultPlan(program_fail_prob=0.001, erase_fail_prob=0.01)
 
 
 def make_measurement(chip_id=0, plane=0, block=0, value=10.0, ers=100.0, shape=(4, 4)):
@@ -124,6 +129,41 @@ class TestProber:
         ms = probe_testbed(chips, planes=[0], blocks=range(4))
         assert len(ms) <= 8
         assert set(ms.chip_ids()) <= {0, 1}
+
+
+class TestFaultedProbing:
+    """Injected erase/program FAILs skip a block like wear-out does."""
+
+    def test_faulted_testbed_pools_are_probed(self):
+        config = SimConfig.testbed(seed=1, chips=2, pool_blocks=40).with_(faults=FAULTY)
+        stack = build_stack(config)
+        pools = stack.pools()
+        assert all(len(pool) > 0 for pool in pools)
+        for pool, chip in zip(pools, stack.chips):
+            assert len(pool) < config.pool_blocks  # some blocks really failed
+            for m in pool.blocks:
+                assert not chip.is_bad(m.plane, m.block)
+                assert chip.is_fully_programmed(m.plane, m.block)
+
+    def faulty_chip(self, small_model, chip_id=0):
+        return FlashChip(
+            small_model.chip_profile(chip_id),
+            SMALL_GEOMETRY,
+            injector=make_injector(FaultPlan(program_fail_prob=0.02), 4, chip_id),
+        )
+
+    def test_probe_testbed_skips_failed_blocks_like_probe_blocks(self, small_model):
+        blocks = range(SMALL_GEOMETRY.blocks_per_plane)
+        measured = probe_testbed([self.faulty_chip(small_model)], planes=[0], blocks=blocks)
+        plan = ProbePlan(planes=[0], blocks=blocks)
+        probed = Prober(self.faulty_chip(small_model)).probe_blocks(plan)
+        assert 0 < len(probed) < len(blocks)
+        assert [m.key() for m in measured] == [m.key() for m in probed]
+
+    def test_probe_blocks_raises_when_not_skipping(self, small_model):
+        plan = ProbePlan(planes=[0], blocks=range(SMALL_GEOMETRY.blocks_per_plane))
+        with pytest.raises(BadBlockError):
+            Prober(self.faulty_chip(small_model)).probe_blocks(plan, skip_bad=False)
 
 
 class TestStatistics:

@@ -106,9 +106,7 @@ class TestSuperwl:
         records = {}
         for block in range(12):
             chip.erase_block(0, block)
-            lat = np.array(chip.program_block(0, block)).reshape(
-                SMALL_GEOMETRY.layers_per_block, SMALL_GEOMETRY.strings_per_layer
-            )
+            lat = chip.program_block(0, block)
             record = unit.gather_measurement(0, 0, block, lat, 0)
             records[block] = (record, lat.reshape(-1))
             if block < 8:  # train on the first 8

@@ -63,8 +63,38 @@ class TestEraseProgram:
     def test_program_block_full(self, chip):
         chip.erase_block(0, 2)
         latencies = chip.program_block(0, 2)
-        assert len(latencies) == SMALL_GEOMETRY.lwls_per_block
+        assert latencies.shape == (
+            SMALL_GEOMETRY.layers_per_block,
+            SMALL_GEOMETRY.strings_per_layer,
+        )
+        assert not latencies.flags.writeable
         assert chip.is_fully_programmed(0, 2)
+
+    def test_program_block_matches_a_wordline_loop(self, chip):
+        model = VariationModel(SMALL_GEOMETRY, VariationParams(factory_bad_ratio=0.0), seed=21)
+        twin = FlashChip(model.chip_profile(0), SMALL_GEOMETRY)
+        for _ in range(2):  # fresh, then one P/E cycle later
+            chip.erase_block(0, 2)
+            twin.erase_block(0, 2)
+            matrix = chip.program_block(0, 2)
+            looped = [
+                twin.program_wordline(0, 2, lwl).latency_us
+                for lwl in range(SMALL_GEOMETRY.lwls_per_block)
+            ]
+            assert matrix.ravel().tolist() == looped
+            assert chip.programmed_lwls(0, 2) == twin.programmed_lwls(0, 2)
+
+    def test_program_block_checks_state(self, chip):
+        with pytest.raises(ProgramStateError):
+            chip.program_block(0, 4)
+        chip.erase_block(0, 4)
+        chip.program_wordline(0, 4, 0)
+        with pytest.raises(ProgramOrderError):
+            chip.program_block(0, 4)
+        chip.retire_block(0, 4)
+        with pytest.raises(BadBlockError):
+            chip.program_block(0, 4)
+        assert chip.programmed_lwls(0, 4) == 1
 
     def test_program_full_block_then_more_fails(self, chip):
         chip.erase_block(0, 2)

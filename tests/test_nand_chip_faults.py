@@ -85,6 +85,76 @@ class TestProgramFail:
         assert chip.is_bad(0, 3)
 
 
+def program_by_wordline(chip, plane, block):
+    """The per-word-line reference for ``program_block``: stop at a FAIL."""
+    latencies = []
+    for lwl in range(chip.geometry.lwls_per_block):
+        result = chip.program_wordline(plane, block, lwl)
+        if not result.ok:
+            return None
+        latencies.append(result.latency_us)
+    return latencies
+
+
+def injector_state(chip):
+    injector = chip.injector
+    return (
+        injector._program_ops,
+        injector._total_ops,
+        injector.injected_program_fails,
+        injector._program_rng.bit_generator.state if injector._program_rng else None,
+    )
+
+
+class TestProgramBlockUnderFaults:
+    """A faulted ``program_block`` is exactly a ``program_wordline`` loop."""
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan(program_fail_prob=0.02),
+            FaultPlan(events=[FaultEvent(kind=KIND_PROGRAM_FAIL, chip=0, at_op=45)]),
+        ],
+        ids=["random", "scheduled"],
+    )
+    def test_same_draws_and_same_stopping_wordline(self, plan):
+        whole, looped = build_chip(plan), build_chip(plan)
+        failures = 0
+        for block in range(12):
+            assert whole.erase_block(0, block).ok and looped.erase_block(0, block).ok
+            matrix = whole.program_block(0, block)
+            reference = program_by_wordline(looped, 0, block)
+            if reference is None:
+                failures += 1
+                assert matrix is None
+            else:
+                assert matrix.ravel().tolist() == reference
+            assert whole.programmed_lwls(0, block) == looped.programmed_lwls(0, block)
+            assert whole.is_bad(0, block) == looped.is_bad(0, block)
+            assert injector_state(whole) == injector_state(looped)
+        assert whole.grown_bad_blocks == looped.grown_bad_blocks == failures
+        assert 0 < failures < 12
+
+    def test_scheduled_fail_stops_at_its_wordline(self):
+        plan = FaultPlan(events=[FaultEvent(kind=KIND_PROGRAM_FAIL, chip=0, at_op=5)])
+        chip = build_chip(plan)
+        assert chip.erase_block(0, 0).ok
+        assert chip.program_block(0, 0) is None
+        assert chip.programmed_lwls(0, 0) == 5
+        assert chip.is_bad(0, 0)
+
+    def test_dead_plane_fails_without_retiring(self):
+        plan = FaultPlan(
+            events=[FaultEvent(kind=KIND_PLANE_OUTAGE, chip=0, plane=0, at_op=2)]
+        )
+        chip = build_chip(plan)
+        assert chip.erase_block(0, 0).ok
+        assert chip.program_block(0, 0) is None
+        # the outage trips on the first program, which still succeeds
+        assert chip.programmed_lwls(0, 0) == 1
+        assert not chip.is_bad(0, 0)
+
+
 class TestEraseFail:
     def test_fail_status_retires_and_counts_the_cycle(self):
         plan = FaultPlan(events=[FaultEvent(kind=KIND_ERASE_FAIL, chip=0, at_op=1)])
